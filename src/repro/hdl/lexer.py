@@ -63,7 +63,13 @@ def _parse_based_digits(digits: str, base: int, width: int, loc: SourceLocation)
             if len(digits) != 1:
                 raise LexError(f"bad decimal literal digits '{digits}'", loc)
             return 0, (1 << width) - 1
-        return int(digits, 10), 0
+        try:
+            return int(digits, 10), 0
+        except ValueError:
+            bad = next((ch for ch in digits if not ch.isdecimal()), None)
+            if bad is None:
+                raise LexError("missing digits in sized literal", loc) from None
+            raise LexError(f"invalid digit '{bad}' for base 10", loc) from None
     for ch in digits:
         value <<= bits_per
         xmask <<= bits_per

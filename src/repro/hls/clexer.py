@@ -141,8 +141,10 @@ class CLexer:
                 digits.append(self._peek())
                 self._advance()
             self._advance()  # trailing \0
-            idx = int("".join(d for d in digits if d.isdigit()))
-            pline, ptext = self.pragmas[idx]
+            idx = "".join(d for d in digits if d.isdigit())
+            if not idx.isdecimal() or int(idx) >= len(self.pragmas):
+                raise CLexError("unexpected NUL character", line)
+            pline, ptext = self.pragmas[int(idx)]
             return CToken(CTokKind.PRAGMA, ptext, pline)
 
         if ch == '"':
@@ -184,6 +186,9 @@ class CLexer:
                 self._advance(2)
                 while self._peek() and self._peek().lower() in "0123456789abcdef":
                     self._advance()
+                if self.pos - start == 2:
+                    raise CLexError(f"hex literal '{self.text[start:self.pos]}' "
+                                    "has no digits", line)
                 value = int(self.text[start:self.pos], 16)
             else:
                 while self._peek().isdigit():
@@ -191,7 +196,11 @@ class CLexer:
                 if self._peek() == "." and self._peek(1).isdigit():
                     raise CLexError("floating-point literals are not supported "
                                     "by the mini-C subset", line)
-                value = int(self.text[start:self.pos])
+                try:
+                    value = int(self.text[start:self.pos])
+                except ValueError:  # str.isdigit admits e.g. superscripts
+                    raise CLexError(f"invalid integer literal "
+                                    f"'{self.text[start:self.pos]}'", line) from None
             while self._peek() and self._peek().lower() in "ul":  # suffixes
                 self._advance()
             return CToken(CTokKind.NUMBER, self.text[start:self.pos], line, value)

@@ -171,42 +171,36 @@ class Aig:
 
     def evaluate(self, assignment: dict[str, bool]) -> dict[str, bool]:
         """Evaluate outputs for one complete input assignment."""
-        value: dict[int, bool] = {0: False}
+        words: dict[str, int] = {}
         for name in self._inputs:
             if name not in assignment:
                 raise KeyError(f"missing input '{name}'")
-            value[self._input_ids[name]] = bool(assignment[name])
-
-        def lit_val(literal: int) -> bool:
-            v = value[lit_node(literal)]
-            return (not v) if lit_compl(literal) else v
-
-        for node in self.topological_order():
-            if node in self._ands:
-                a, b = self._ands[node]
-                value[node] = lit_val(a) and lit_val(b)
-            elif node not in value:
-                value[node] = False  # dangling input not in inputs list
-        return {name: lit_val(out) for name, out in self._outputs}
+            words[name] = 1 if assignment[name] else 0
+        return {name: bool(word)
+                for name, word in self.evaluate_words(words, bits=1).items()}
 
     def evaluate_words(self, assignment: dict[str, int], bits: int = 64) -> dict[str, int]:
-        """Bit-parallel evaluation: each input carries ``bits`` patterns."""
+        """Bit-parallel evaluation: each input carries ``bits`` patterns.
+
+        Bit ``k`` of every word is pattern ``k``; missing inputs read 0.
+        One walk of the topological order evaluates all patterns at once,
+        with a complemented fanin read as ``word ^ mask``.
+        """
         mask = (1 << bits) - 1
         value: dict[int, int] = {0: 0}
         for name in self._inputs:
             value[self._input_ids[name]] = assignment.get(name, 0) & mask
-
-        def lit_val(literal: int) -> int:
-            v = value[lit_node(literal)]
-            return (~v & mask) if lit_compl(literal) else v
-
+        ands = self._ands
         for node in self.topological_order():
-            if node in self._ands:
-                a, b = self._ands[node]
-                value[node] = lit_val(a) & lit_val(b)
-            elif node not in value:
-                value[node] = 0
-        return {name: lit_val(out) for name, out in self._outputs}
+            pair = ands.get(node)
+            if pair is None:
+                value.setdefault(node, 0)  # dangling input not in inputs list
+                continue
+            a, b = pair
+            value[node] = ((value[a >> 1] ^ (mask if a & 1 else 0))
+                           & (value[b >> 1] ^ (mask if b & 1 else 0)))
+        return {name: value[out >> 1] ^ (mask if out & 1 else 0)
+                for name, out in self._outputs}
 
     # -- maintenance -----------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hdl.errors import LexError
+from repro.hdl.errors import LexError, SourceLocation
 from repro.hdl.lexer import TokKind, tokenize
 
 
@@ -83,6 +83,17 @@ class TestNumbers:
     def test_missing_digits_rejected(self):
         with pytest.raises(LexError):
             tokenize("8'h ;")
+
+    def test_non_decimal_digits_in_sized_decimal_rejected(self):
+        # Used to escape as a bare ValueError from int("else", 10).
+        with pytest.raises(LexError) as info:
+            tokenize("8'delse;")
+        assert info.value.loc == SourceLocation(1, 1)
+        assert "invalid digit 'e' for base 10" in str(info.value)
+
+    def test_sized_decimal_of_only_underscores_rejected(self):
+        with pytest.raises(LexError, match="missing digits"):
+            tokenize("x = 8'd_;")
 
 
 class TestOperatorsAndStrings:

@@ -39,6 +39,25 @@ class TestLexer:
         with pytest.raises(CLexError):
             ctokenize("1.5")
 
+    def test_hex_prefix_without_digits_rejected(self):
+        # Used to escape as a bare ValueError from int("0x", 16).
+        with pytest.raises(CLexError) as info:
+            ctokenize("int x = 0x;")
+        assert info.value.line == 1
+        assert "hex literal '0x' has no digits" in str(info.value)
+        with pytest.raises(CLexError) as info:
+            ctokenize("int y;\nint x = 0X;")
+        assert info.value.line == 2
+
+    def test_non_decimal_digit_run_rejected(self):
+        with pytest.raises(CLexError, match="invalid integer literal"):
+            ctokenize("int x = 1\u00b2;")
+
+    def test_stray_nul_rejected(self):
+        for source in ("int x = \0;", "int x = \0PRAGMA7\0;"):
+            with pytest.raises(CLexError, match="unexpected NUL"):
+                ctokenize(source)
+
 
 class TestParser:
     def test_function_with_params(self):

@@ -21,6 +21,8 @@ from repro.slt import random_genome
 from repro.synth import Aig, check_aigs, check_against_simulation, \
     optimize, synthesize_module
 
+from . import cec_reference as reference
+
 
 # --------------------------------------------------------------------------
 # Random combinational Verilog expressions
@@ -79,6 +81,8 @@ def test_simulator_and_synthesizer_agree_on_random_logic(seed):
     cec = check_against_simulation(synth, src, module, vectors=24,
                                    seed=seed + 1)
     assert cec.equivalent, f"seed {seed}: {cec.counterexample}\n{src}"
+    assert cec == reference.check_against_simulation(synth, src, module,
+                                                     vectors=24, seed=seed + 1)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -139,6 +143,44 @@ def test_aig_cleanup_preserves_outputs(seed):
     cleaned = aig.cleanup()
     assert check_aigs(aig, cleaned).equivalent
     assert cleaned.num_ands <= aig.num_ands
+
+
+@st.composite
+def _aig_pairs(draw):
+    """Two random AIGs over overlapping input sets with overlapping outputs."""
+    pool = [f"i{k}" for k in range(draw(st.integers(0, 7)))]
+    aigs = []
+    for _ in range(2):
+        aig = Aig()
+        names = draw(st.permutations(pool))
+        names = names[:draw(st.integers(0, len(names)))]
+        literals = [0, 1] + [aig.add_input(name) for name in names]
+        for _ in range(draw(st.integers(0, 12))):
+            a = draw(st.sampled_from(literals)) ^ draw(st.integers(0, 1))
+            b = draw(st.sampled_from(literals)) ^ draw(st.integers(0, 1))
+            op = draw(st.sampled_from([aig.and_, aig.or_, aig.xor_]))
+            literals.append(op(a, b))
+        for out in draw(st.lists(st.sampled_from("xyz"), max_size=3,
+                                 unique=True)):
+            aig.add_output(out, draw(st.sampled_from(literals))
+                           ^ draw(st.integers(0, 1)))
+        aigs.append(aig)
+    return aigs
+
+
+@given(_aig_pairs(), st.integers(0, 8), st.sampled_from([0, 1, 7, 64, 100]),
+       st.integers(0, 50))
+@settings(max_examples=200, deadline=None)
+def test_packed_cec_matches_per_vector_reference(pair, max_exhaustive,
+                                                 random_vectors, seed):
+    a, b = pair
+    kwargs = dict(max_exhaustive_inputs=max_exhaustive,
+                  random_vectors=random_vectors, seed=seed)
+    got = check_aigs(a, b, **kwargs)
+    want = reference.check_aigs(a, b, **kwargs)
+    assert got == want
+    if got.counterexample is not None:
+        assert list(got.counterexample) == list(want.counterexample)
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.problems import get_problem
+from repro.flows.security import detect_with_cec, insert_trojan
 from repro.hdl import parse_module
+from repro.hdl.testbench import StimulusRunner
 from repro.synth import (Aig, FALSE, TRUE, SynthesisError, check_aigs,
                          check_against_simulation, estimate_ppa, map_to_cells,
                          map_to_luts, negate, optimize, synthesize_module)
+from repro.synth.cec import CecResult
 from repro.synth.optimize import balance, rewrite, sweep
+
+from . import cec_reference as reference
 
 
 class TestAig:
@@ -306,6 +312,145 @@ class TestCec:
         b = Aig()
         b.add_output("q", b.add_input("x"))
         assert not check_aigs(a, b).equivalent
+
+
+def _minterm_flip(n: int, index: int) -> tuple[Aig, Aig]:
+    """Two AIGs over ``n`` inputs that differ on exactly one vector.
+
+    ``index`` counts in ``itertools.product`` order over the sorted input
+    names, so the first name is the index's most significant bit.
+    """
+    names = [f"x{k:02d}" for k in range(n)]
+    a, b = Aig(), Aig()
+    la = [a.add_input(name) for name in names]
+    lb = [b.add_input(name) for name in names]
+    a.add_output("y", a.xor_(la[0], la[-1]))
+    hit = TRUE
+    for k, literal in enumerate(lb):
+        bit = index >> (n - 1 - k) & 1
+        hit = b.and_(hit, literal if bit else negate(literal))
+    b.add_output("y", b.xor_(b.xor_(lb[0], lb[-1]), hit))
+    return a, b
+
+
+class TestPackedCec:
+    """``check_aigs`` must return exactly what the per-vector loop did."""
+
+    @pytest.mark.parametrize("n,index", [
+        (3, 0), (3, 7), (12, 0), (12, 4095), (13, 0), (13, 4095),
+        (13, 4096), (13, 8191), (14, 4096 * 3 - 1),
+    ])
+    def test_single_mismatch_matches_reference(self, n, index):
+        a, b = _minterm_flip(n, index)
+        cec = check_aigs(a, b, max_exhaustive_inputs=18)
+        assert cec == reference.check_aigs(a, b, max_exhaustive_inputs=18)
+        assert not cec.equivalent and cec.exhaustive
+        assert cec.vectors_checked == index + 1
+        assert cec.mismatched_outputs == ["y"]
+        assert list(cec.counterexample) == sorted(a.inputs)
+        assert int("".join(map(str, cec.counterexample.values())), 2) == index
+
+    def test_equivalent_checks_every_vector(self):
+        a, _ = _minterm_flip(13, 0)
+        b, _ = _minterm_flip(13, 5)
+        cec = check_aigs(a, b, max_exhaustive_inputs=13)
+        assert cec == CecResult(True, None, [], 2 ** 13, exhaustive=True)
+        assert cec == reference.check_aigs(a, b, max_exhaustive_inputs=13)
+
+    def test_inputs_present_in_only_one_aig(self):
+        a = Aig()
+        p, q = a.add_input("p"), a.add_input("q")
+        a.add_output("y", a.and_(p, q))
+        a.add_output("z", q)
+        b = Aig()
+        q2, r = b.add_input("q"), b.add_input("r")
+        b.add_output("y", b.and_(q2, negate(r)))
+        b.add_output("w", r)
+        cec = check_aigs(a, b)
+        assert cec == reference.check_aigs(a, b)
+        assert cec.counterexample == {"p": 0, "q": 1, "r": 0}
+        assert cec.vectors_checked == 3
+
+    def test_no_shared_outputs_matches_reference(self):
+        a = Aig()
+        a.add_output("p", a.add_input("x"))
+        b = Aig()
+        b.add_output("q", b.add_input("x"))
+        assert check_aigs(a, b) == reference.check_aigs(a, b) == CecResult(
+            False, None, ["<no shared outputs>"], 0, False)
+
+    def test_no_inputs_is_one_vector(self):
+        a, b = Aig(), Aig()
+        a.add_output("y", TRUE)
+        b.add_output("y", FALSE)
+        assert check_aigs(a, b) == reference.check_aigs(a, b) == CecResult(
+            False, {}, ["y"], 1, True)
+
+    @pytest.mark.parametrize("index", [0, 1, 77, 5000])
+    def test_random_mode_matches_reference(self, index):
+        a, b = _minterm_flip(14, index)
+        a.add_output("z", a.add_input("x03"))
+        b.add_output("z", negate(b.add_input("x03")))
+        for vectors in (0, 1, 63, 64, 65, 300):
+            cec = check_aigs(a, b, max_exhaustive_inputs=10,
+                             random_vectors=vectors, seed=index)
+            assert cec == reference.check_aigs(
+                a, b, max_exhaustive_inputs=10, random_vectors=vectors,
+                seed=index)
+            assert not cec.exhaustive
+
+    @pytest.mark.parametrize("seed,effort", [(1, 82945), (2, 41985)])
+    def test_trojan_cec_effort_pinned(self, seed, effort):
+        problem = get_problem("c2_adder8")
+        design = insert_trojan(problem, seed=seed)
+        report = detect_with_cec(problem, design)
+        assert report.detected and report.note == "exhaustive"
+        assert report.effort == effort
+
+
+class TestPackedSimulationCheck:
+    ADD = """
+module add(input [3:0] a, input [3:0] b, output [4:0] y, output c);
+  assign y = a + b;
+  assign c = a[0] & b[3];
+endmodule"""
+    # Same ports, but ``y`` is wrong when a == 4'd9.
+    BAD = ADD.replace("a + b;", "(a == 4'd9) ? a : a + b;")
+
+    @pytest.mark.parametrize("vectors,seed", [(0, 1), (1, 2), (64, 3), (100, 4)])
+    def test_matches_reference(self, vectors, seed):
+        module = parse_module(self.ADD)
+        for synth_src in (self.ADD, self.BAD):
+            s = _synth(synth_src)
+            got = check_against_simulation(s, self.ADD, module,
+                                           vectors=vectors, seed=seed)
+            assert got == reference.check_against_simulation(
+                s, self.ADD, module, vectors=vectors, seed=seed)
+
+    def test_reports_first_mismatch(self):
+        s = _synth(self.BAD)
+        cec = check_against_simulation(s, self.ADD, parse_module(self.ADD),
+                                       vectors=64, seed=3)
+        assert not cec.equivalent and cec.mismatched_outputs == ["y"]
+        assert cec.counterexample["a"] == 9
+
+    def test_later_simulation_error_never_preempts_mismatch(self, monkeypatch):
+        s = _synth(self.BAD)
+        module = parse_module(self.ADD)
+        first = check_against_simulation(s, self.ADD, module, vectors=64, seed=3)
+        original = StimulusRunner.apply
+        calls = []
+
+        def failing_apply(runner, stimulus):
+            calls.append(stimulus)
+            if len(calls) > first.vectors_checked:
+                raise RuntimeError("simulator failure")
+            return original(runner, stimulus)
+
+        monkeypatch.setattr(StimulusRunner, "apply", failing_apply)
+        assert check_against_simulation(s, self.ADD, module, vectors=64,
+                                        seed=3) == first
+        assert len(calls) == first.vectors_checked
 
 
 @settings(max_examples=25, deadline=None)
