@@ -38,6 +38,7 @@ import hashlib
 import pickle
 import threading
 from dataclasses import dataclass
+from types import CodeType
 from typing import Sequence
 
 from . import ast as A
@@ -204,6 +205,12 @@ class CompileCache:
         # (re-exec'ing generated source is the expensive half of a program
         # unpickle).  Bounded the same way as ``_live``.
         self._live_programs: dict[tuple, tuple] = {}
+        # Code objects by generated function text, shared by every program
+        # this cache loads (see CompiledProgram.load).  Emptied whenever
+        # ``_live_programs`` is, so its size follows the program layer's
+        # capacity.  Never persisted: code objects don't pickle, and a memo
+        # outliving the cache would make a fresh cache warm.
+        self.codes: dict[str, CodeType] = {}
         self._lock = threading.Lock()
 
     # -- parse layer --------------------------------------------------------
@@ -294,6 +301,7 @@ class CompileCache:
         with self._lock:
             if len(self._live_programs) >= self._programs.capacity:
                 self._live_programs.clear()
+                self.codes.clear()
             self._live_programs[design_key] = entry
         return entry
 
@@ -304,6 +312,7 @@ class CompileCache:
         with self._lock:
             if len(self._live_programs) >= self._programs.capacity:
                 self._live_programs.clear()
+                self.codes.clear()
             self._live_programs[design_key] = entry
 
     # -- result memo --------------------------------------------------------
@@ -343,6 +352,7 @@ class CompileCache:
         with self._lock:
             self._live.clear()
             self._live_programs.clear()
+            self.codes.clear()
 
 
 _default_cache = CompileCache()

@@ -104,11 +104,12 @@ def _simulate(design: Design, max_time: int, seed: int) -> TestbenchResult:
     return result
 
 
-def _simulate_compiled(program: CompiledProgram, max_time: int,
-                       seed: int) -> TestbenchResult:
-    """Run the compiled engine.  Raises :class:`XBail` when the event
-    engine must re-run the case (it reproduces the authoritative error)."""
-    sim = CompiledSim(program, seed=seed)
+def _simulate_compiled(program: CompiledProgram, max_time: int, seed: int,
+                       codes: dict | None = None) -> TestbenchResult:
+    """Run the compiled engine (``codes``: the compile cache's code memo).
+    Raises :class:`XBail` when the event engine must re-run the case (it
+    reproduces the authoritative error)."""
+    sim = CompiledSim(program, seed=seed, codes=codes)
     sim.run(max_time=max_time)
     result = TestbenchResult(compiled=True)
     result.output = sim.output
@@ -156,7 +157,9 @@ def _run_engine(compiled: CompiledDesign, max_time: int, seed: int,
             try:
                 with tracer.span("hdl.sim", backend="compiled",
                                  top=compiled.top):
-                    return _simulate_compiled(entry[1], max_time, seed)
+                    return _simulate_compiled(
+                        entry[1], max_time, seed,
+                        cache.codes if use_cache else None)
             except XBail:
                 if tracer.enabled:
                     get_metrics().counter("sim.backend.fallbacks").add(1)

@@ -11,6 +11,10 @@ regression where bench harnesses with private caches reported all-zero
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro import obs
@@ -18,6 +22,7 @@ from repro.config import get_settings, reset_warned_values
 from repro.hdl import (CompileCache, CompiledSim, Simulator, UnsupportedDesign,
                        compile_program, elaborate, parse, run_testbench,
                        set_default_cache, get_default_cache)
+from repro.hdl import compiled as compiled_mod
 from repro.hdl.compiled import XBail
 from repro.store import reset_default_store
 
@@ -225,6 +230,143 @@ class TestProgramCache:
         sim = CompiledSim(program, seed=1)
         sim.run(max_time=10_000)
         assert sim.finished
+
+
+DUT_A, TB = COUNTER.split("module tb();")
+TB = "module tb();" + TB
+DUT_B = DUT_A.replace("q + 8'h1", "q + 8'h3")
+
+
+def _functions(program) -> list[str]:
+    return compiled_mod._SPLIT.split(program.source)
+
+
+class TestCodeMemo:
+    """Function text compiles once per ``CompileCache``, never globally."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Every text ``CompiledProgram.load`` hands to ``compile``."""
+        seen: list[str] = []
+
+        def counting(text, *args):
+            seen.append(text)
+            return compile(text, *args)
+
+        monkeypatch.setattr(compiled_mod, "compile", counting, raising=False)
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+        return seen
+
+    @staticmethod
+    def _outputs(result) -> tuple:
+        return (tuple(result.output), result.finished, result.error_count,
+                result.sim_time, result.runtime_error)
+
+    def test_shared_testbench_compiled_once(self, compiles):
+        cache = CompileCache()
+        for dut in (DUT_A, DUT_B):
+            run_testbench(dut, "tb", tb_source=TB, cache=cache)
+        a, b = (_functions(compile_program(cache.compile((dut, TB),
+                                                         "tb").design))
+                for dut in (DUT_A, DUT_B))
+        shared = set(a) & set(b)
+        assert any(text.startswith("def c") for text in shared)
+        assert set(a) != set(b)
+        assert sorted(compiles) == sorted(set(a) | set(b))
+        assert set(cache.codes) == set(a) | set(b)
+
+    def test_outputs_match_memo_free_load_and_event_engine(self,
+                                                          monkeypatch):
+        cache = CompileCache()
+        for dut in (DUT_A, DUT_B):
+            monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+            memo = run_testbench(dut, "tb", tb_source=TB, cache=cache)
+            design = elaborate(parse(dut + TB), "tb")
+            free = CompiledSim(compile_program(design), seed=1)
+            free.run(max_time=200_000)
+            monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
+            event = run_testbench(dut, "tb", tb_source=TB,
+                                  cache=CompileCache())
+            assert self._outputs(memo) == self._outputs(event)
+            assert tuple(memo.output) == tuple(free.output)
+            assert memo.sim_time == free.time
+        assert cache.codes
+
+    def test_fresh_cache_and_clear_start_empty(self, compiles, monkeypatch):
+        cache = CompileCache()
+        assert cache.codes == {}
+        run_testbench(COUNTER, "tb", cache=cache)
+        assert cache.codes
+        cache.clear()
+        assert cache.codes == {}
+        assert CompileCache().codes == {}
+        monkeypatch.setenv("REPRO_HDL_CACHE", "0")
+        before = len(compiles)
+        run_testbench(COUNTER, "tb", cache=cache)
+        assert cache.codes == {} and len(compiles) > before
+
+    def test_pickled_program_round_trips_and_runs(self):
+        cache = CompileCache()
+        program = compile_program(elaborate(parse(COUNTER), "tb"))
+        blob = pickle.dumps(program)
+        CompiledSim(program, seed=1, codes=cache.codes).run(max_time=10_000)
+        assert pickle.dumps(program) == blob      # the namespace stays out
+        copy = pickle.loads(blob)
+        assert copy.source == program.source and copy.meta == program.meta
+        sim = CompiledSim(copy, seed=1, codes=cache.codes)
+        sim.run(max_time=10_000)
+        ev, _ = _run_both(COUNTER)
+        assert sim.finished and sim.output == ev.output
+
+    def test_memo_is_emptied_with_the_live_programs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "1")
+        cache = CompileCache()
+        results = [run_testbench(dut, "tb", tb_source=TB, cache=cache)
+                   for dut in (DUT_A, DUT_B)]
+        # The program layer holds one program, so storing B's emptied A's
+        # texts from the memo too: it now holds exactly B's.
+        b = compile_program(cache.compile((DUT_B, TB), "tb").design)
+        assert len(cache._live_programs) == 1
+        assert set(cache.codes) == set(_functions(b))
+        for dut, result in zip((DUT_A, DUT_B), results):
+            monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
+            event = run_testbench(dut, "tb", tb_source=TB,
+                                  cache=CompileCache())
+            assert self._outputs(result) == self._outputs(event)
+
+    def test_threads_share_one_memo(self):
+        cache = CompileCache()
+        blobs = [pickle.dumps(compile_program(elaborate(parse(dut + TB),
+                                                        "tb")))
+                 for dut in (DUT_A, DUT_B)]
+        want = [_run_both(dut + TB)[0].output for dut in (DUT_A, DUT_B)]
+        errors: list = []
+
+        def worker(k: int) -> None:
+            try:
+                for i in range(20):
+                    which = (i + k) % 2
+                    sim = CompiledSim(pickle.loads(blobs[which]), seed=1,
+                                      codes=cache.codes)
+                    sim.run(max_time=10_000)
+                    assert sim.output == want[which]
+            except Exception as exc:     # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestTelemetry:

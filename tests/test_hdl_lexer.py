@@ -95,6 +95,27 @@ class TestNumbers:
         with pytest.raises(LexError, match="missing digits"):
             tokenize("x = 8'd_;")
 
+    @pytest.mark.parametrize("source,column",
+                             [("1²", 1), ("²", 1), ("x = 1²;", 5)])
+    def test_non_decimal_digit_run_rejected(self, source, column):
+        # str.isdigit runs such as "1²" used to escape as a bare ValueError
+        # from int().
+        with pytest.raises(LexError, match="invalid digit '²' in number") \
+                as info:
+            tokenize(source)
+        assert info.value.loc == SourceLocation(1, column)
+
+    def test_non_decimal_digit_size_rejected(self):
+        with pytest.raises(LexError, match="invalid digit '²' in number") \
+                as info:
+            tokenize("a = ²'h1;")
+        assert info.value.loc == SourceLocation(1, 5)
+
+    def test_decimal_too_long_for_int_rejected(self):
+        with pytest.raises(LexError, match="number too long") as info:
+            tokenize("a = " + "1" * 5000 + ";")
+        assert info.value.loc == SourceLocation(1, 5)
+
 
 class TestOperatorsAndStrings:
     def test_multichar_operators_greedy(self):
