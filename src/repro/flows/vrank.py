@@ -84,8 +84,8 @@ def vrank(problem: Problem,
 
     # Input widths from the reference interface (public knowledge: the spec
     # fixes the port list).
-    from ..hdl import parse_module
-    ref = parse_module(problem.reference, problem.module_name)
+    from ..hdl.compile import shared_module
+    ref = shared_module(problem.reference, problem.module_name)
     widths: dict[str, int] = {}
     clk_name = None
     for port in ref.ports:

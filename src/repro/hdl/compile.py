@@ -47,7 +47,7 @@ from ..store import (CacheStats, MemoryBackend, TieredBackend, content_key,
                      get_default_store)
 from ..store import LruBlobCache as _LruBlobCache  # noqa: F401 (re-export)
 from .elaborate import Design, elaborate
-from .parser import parse
+from .parser import module_of, parse
 
 
 def source_key(source: str) -> str:
@@ -317,11 +317,11 @@ class CompileCache:
 
     # -- result memo --------------------------------------------------------
 
-    def get_result(self, key: tuple) -> object | None:
+    def get_result(self, key: tuple | str) -> object | None:
         blob = self._results.get(key)
         return pickle.loads(blob) if blob is not None else None
 
-    def put_result(self, key: tuple, result: object) -> None:
+    def put_result(self, key: tuple | str, result: object) -> None:
         self._results.put(key, pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
 
     # -- management ---------------------------------------------------------
@@ -383,3 +383,15 @@ def compile_design(sources: str | Sequence[str], top: str,
         return CompiledDesign((tuple(source_key(s) for s in unit_list), top),
                               top, design)
     return (cache or _default_cache).compile(sources, top)
+
+
+def shared_module(source: str, name: str,
+                  cache: CompileCache | None = None) -> A.Module:
+    """Module ``name`` of ``source``, parsed through the parse layer.
+
+    The AST is the cache's shared copy: read it, never mutate it.  With
+    ``REPRO_HDL_CACHE=0`` this is a plain :func:`~repro.hdl.parse_module`.
+    """
+    sf = ((cache or _default_cache)._parse_shared(source)[1]
+          if cache_enabled() else parse(source))
+    return module_of(sf, name)

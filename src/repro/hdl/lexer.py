@@ -101,6 +101,7 @@ _IDENT_RUN = re.compile(r"[\w$]*+")
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPES = {"n": "\n", "t": "\t"}
 _BASES = {"b": 2, "o": 8, "d": 10, "h": 16}
+_MAX_WIDTH = 10**7
 _WORD_KIND = dict.fromkeys(KEYWORDS, TokKind.KEYWORD)
 
 
@@ -159,6 +160,9 @@ def _number(src: str, start: int, line: int, col: int) -> tuple[Token, int]:
     width = _decimal(size, loc) if size else 32
     if width <= 0:
         raise LexError(f"literal width must be positive, got {width}", loc)
+    if width >= _MAX_WIDTH:     # its mask alone would take megabytes
+        raise LexError(f"literal width must be below {_MAX_WIDTH}, "
+                       f"got a {len(size)}-digit size", loc)
     # A signed base like 'sd is treated as unsigned.
     pos = end + 2 if src[end + 1:end + 2] in ("s", "S") else end + 1
     base_ch = (src[pos:pos + 1] or "\x00").lower()

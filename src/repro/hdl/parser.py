@@ -581,7 +581,11 @@ def parse(source: str) -> SourceFile:
 
 def parse_module(source: str, name: str | None = None) -> Module:
     """Parse source and return one module (the named one, or the only one)."""
-    sf = parse(source)
+    return module_of(parse(source), name)
+
+
+def module_of(sf: SourceFile, name: str | None = None) -> Module:
+    """The named module of ``sf``, or its only one."""
     if name is not None:
         if name not in sf.modules:
             raise ParseError(f"module '{name}' not found in source")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..obs import get_metrics, get_tracer
+from ..store import content_key
 from .compile import (CompileCache, CompiledDesign, cache_enabled,
                       compile_design, get_default_cache, source_key)
 from .compiled import (CompiledProgram, CompiledSim, UnsupportedDesign,
@@ -308,7 +309,32 @@ def exercise_module(source: str | CompiledDesign, top: str,
     use that as "candidate is broken".  Output values are stringified so X
     states are preserved in the signature (important for consistency
     clustering in VRank).
+
+    The outcome is a pure function of the key below (the driver always runs
+    the event engine with seed 1), so source inputs are memoized in the
+    compile cache's result layer.  Vector item order stays in the key: it
+    is the poke order.  ``None`` is cached too, wrapped in a 1-tuple so it
+    is not read as a miss; a hit is unpickled, so the rows stay private.
     """
+    if isinstance(source, CompiledDesign) or not cache_enabled():
+        return _exercise(source, top, vectors, clk, reset, cache)
+    cache = cache or get_default_cache()
+    # Hashed once here (the layer takes a digest as is): ``repr`` of the
+    # vectors costs more than the rest of a cold lookup.
+    key = content_key(("exercise", source_key(source), top,
+                       tuple(tuple(v.items()) for v in vectors), clk, reset))
+    hit = cache.get_result(key)
+    if hit is not None:
+        return hit[0]
+    rows = _exercise(source, top, vectors, clk, reset, cache)
+    cache.put_result(key, (rows,))
+    return rows
+
+
+def _exercise(source: str | CompiledDesign, top: str,
+              vectors: list[dict[str, int]], clk: str | None,
+              reset: str | None,
+              cache: CompileCache | None) -> list[dict[str, str]] | None:
     try:
         runner = StimulusRunner(source, top, cache=cache)
         if reset is not None and reset in runner.inputs:

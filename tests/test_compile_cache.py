@@ -9,7 +9,7 @@ from repro.bench.problems import all_problems
 from repro.hdl import (CompileCache, HdlError, compile_design,
                        get_default_cache, run_testbench, set_default_cache,
                        source_key)
-from repro.hdl.testbench import StimulusRunner
+from repro.hdl.testbench import StimulusRunner, exercise_module
 from repro.store import reset_default_store
 
 
@@ -157,6 +157,95 @@ class TestPoisonSafety:
         r1.design.signals.clear()
         r2 = StimulusRunner(src, "dut", cache=cache)
         assert r2.design.signals  # fresh materialization, not the mutated one
+
+
+EXERCISE_SRC = """
+module dut(input clk, input rst, input [3:0] a, input [3:0] b,
+           output reg [3:0] q, output [3:0] y);
+  assign y = a - b;
+  always @(posedge clk) if (rst) q <= 4'd0; else q <= q + a;
+endmodule
+module other(input clk, input rst, input [3:0] a, input [3:0] b,
+             output [3:0] y);
+  assign y = a & b;
+endmodule
+"""
+VECTORS = [{"a": 3, "b": 1}, {"a": 5, "b": 9}, {"a": 15, "b": 15}]
+
+
+def _drive(cache, source=EXERCISE_SRC, top="dut", vectors=VECTORS,
+           clk="clk", reset="rst"):
+    return exercise_module(source, top, vectors, clk=clk, reset=reset,
+                           cache=cache)
+
+
+def _result_stats(cache):
+    return cache.stats_dict()["result"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a memo hit must not simulate")
+
+
+class TestExerciseMemo:
+    def test_hit_equals_cold_run(self, cache):
+        cold = _drive(cache)
+        hit = _drive(cache)
+        assert cold is not None and len(cold) == len(VECTORS)
+        assert hit == cold
+        assert _result_stats(cache)["hits"] == 1
+        assert _result_stats(cache)["misses"] == 1
+
+    def test_mutating_rows_does_not_poison(self, cache):
+        cold = _drive(cache)
+        expected = pickle.loads(pickle.dumps(cold))
+        cold[0]["y"] = "junk"
+        cold.append({})
+        hit = _drive(cache)
+        assert hit == expected
+        hit[1].clear()
+        assert _drive(cache) == expected
+
+    def test_broken_source_is_cached_as_none(self, cache, monkeypatch):
+        broken = "module dut(input a; endmodule"
+        assert _drive(cache, source=broken) is None
+        monkeypatch.setattr(StimulusRunner, "__init__", _refuse)
+        assert _drive(cache, source=broken) is None
+        assert _result_stats(cache)["hits"] == 1
+
+    @pytest.mark.parametrize("change", [
+        {"vectors": [{"a": 3, "b": 2}, *VECTORS[1:]]},
+        {"vectors": [{"b": 1, "a": 3}, *VECTORS[1:]]},
+        {"clk": None},
+        {"reset": None},
+        {"top": "other"},
+    ])
+    def test_changed_input_is_a_miss(self, cache, change):
+        _drive(cache)
+        _drive(cache, **change)
+        assert _result_stats(cache)["hits"] == 0
+        assert _result_stats(cache)["misses"] == 2
+
+    def test_nothing_cached_with_cache_disabled(self, cache, monkeypatch):
+        monkeypatch.setenv("REPRO_HDL_CACHE", "0")
+        first = _drive(cache)
+        assert _drive(cache) == first
+        stats = _result_stats(cache)
+        assert stats["size"] == stats["hits"] == stats["misses"] == 0
+
+    def test_compiled_design_bypasses_memo(self, cache):
+        compiled = compile_design(EXERCISE_SRC, "dut", cache=cache)
+        rows = _drive(cache, source=compiled)
+        assert _drive(cache, source=compiled) == rows
+        assert _result_stats(cache)["size"] == 0
+        assert rows == _drive(cache)
+
+    def test_hit_builds_no_runner(self, cache, monkeypatch):
+        cold = _drive(cache)
+        designs = cache.stats()["design"].lookups
+        monkeypatch.setattr(StimulusRunner, "__init__", _refuse)
+        assert _drive(cache) == cold
+        assert cache.stats()["design"].lookups == designs
 
 
 class TestKnobs:

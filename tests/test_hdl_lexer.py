@@ -1,5 +1,7 @@
 """Tests for the mini-Verilog lexer."""
 
+import time
+
 import pytest
 
 from repro.hdl.errors import LexError, SourceLocation
@@ -115,6 +117,22 @@ class TestNumbers:
         with pytest.raises(LexError, match="number too long") as info:
             tokenize("a = " + "1" * 5000 + ";")
         assert info.value.loc == SourceLocation(1, 5)
+
+    @pytest.mark.parametrize("size", ["10000000", "99999999999", "1_0000_000"])
+    def test_huge_literal_width_rejected(self, size):
+        # Sizes of 10**7 and up used to build a ``1 << width`` mask of up
+        # to gigabytes before any error could surface.
+        start = time.perf_counter()
+        with pytest.raises(LexError, match="literal width must be below") \
+                as info:
+            tokenize(f"x = 1;\n  a = {size}'h1;")
+        assert time.perf_counter() - start < 0.5
+        assert info.value.loc == SourceLocation(2, 7)
+
+    def test_largest_literal_width_accepted(self):
+        tok = tokenize("9999999'h1")[0]
+        assert tok.kind is TokKind.SIZED_NUMBER
+        assert tok.value == (9_999_999, 1, 0)
 
 
 class TestOperatorsAndStrings:

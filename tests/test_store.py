@@ -296,6 +296,31 @@ class TestCrossProcessReuse:
         assert int(warm_hits) >= 1
         assert warm_blob == cold_blob
 
+    def test_vrank_warm_start_across_processes(self, tmp_path):
+        """A second process serves every candidate's stimulus and
+        testbench run from the first one's result blobs, and ranks
+        byte-identically."""
+        script = (
+            "import pickle\n"
+            "from repro.bench.problems import all_problems\n"
+            "from repro.flows.vrank import vrank\n"
+            "from repro.store import get_default_store\n"
+            "r = vrank(all_problems()[3], 'chatgpt-3.5', seed=5)\n"
+            "stats = get_default_store().stats()\n"
+            "hits = stats['result'].hits if 'result' in stats else 0\n"
+            "print(r.n_candidates, hits, pickle.dumps(r).hex())\n")
+        env = _subprocess_env(str(tmp_path))
+        cold = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        warm = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert cold.returncode == 0, cold.stderr
+        assert warm.returncode == 0, warm.stderr
+        _, _, cold_blob = cold.stdout.split()
+        n_candidates, warm_hits, warm_blob = warm.stdout.split()
+        assert int(warm_hits) >= int(n_candidates)
+        assert warm_blob == cold_blob
+
 
 class TestCampaignJournal:
     def test_record_then_resume_lookup(self, tmp_path):
