@@ -10,12 +10,14 @@ with ``ok=False`` is a finding worth shrinking.
 (c) ``parallel``  — ``ParallelEvaluator.map`` vs a serial comprehension
 (d) ``service``   — broker-mediated client vs direct ``SimulatedLLM``
 (e) ``roundtrip`` — parse → unparse → reparse is a structural fixpoint
-(f) ``compiled``  — compiled straight-line engine vs the event engine
+(f) ``compiled``  — compiled straight-line engine vs the event engine,
+                    on testbench runs and on the stimulus driver
 (g) ``critic``    — trojan-mutated DUTs must be flagged by the critic
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from ..exec.parallel import ParallelEvaluator
@@ -24,7 +26,7 @@ from ..hdl import parse, run_testbench, strip_locations, unparse
 from ..hdl.compile import CompileCache
 from ..hdl.elaborate import elaborate
 from ..hdl.errors import HdlError
-from ..hdl.testbench import TestbenchResult, _simulate
+from ..hdl.testbench import StimulusRunner, TestbenchResult, _simulate
 from ..llm.model import GenerationTask
 from ..service import resolve_client
 from ..synth.cec import check_against_simulation
@@ -222,15 +224,51 @@ def oracle_roundtrip(case: FuzzCase) -> OracleReport:
 # --------------------------------------------------------------------------
 
 
+DRIVER_VECTORS = 8
+
+
+def _driven_rows(case: FuzzCase, engine: str) -> list | tuple:
+    """The DUT's outputs after each of the case's seeded input vectors,
+    driven through ``StimulusRunner`` on ``engine`` (an error in place of
+    the rows: it must match too)."""
+    rng = random.Random(case.seed)
+    clk = "clk" if case.sequential else None
+    try:
+        runner = StimulusRunner(case.dut_source, case.dut_name,
+                                cache=CompileCache(), engine=engine)
+        rows = []
+        for _ in range(DRIVER_VECTORS):
+            vector = {n: rng.getrandbits(runner.width_of(n))
+                      for n in runner.inputs if n != clk}
+            outs = runner.apply(vector, clk=clk)
+            rows.append({n: str(v) for n, v in outs.items()})
+    except Exception as exc:     # compared like the rows
+        return type(exc).__name__, str(exc)
+    return rows
+
+
 def oracle_compiled(case: FuzzCase) -> OracleReport:
     """The compiled fast path must reproduce the event engine exactly.
 
-    Ineligible designs and runtime bails are skips, not findings — the
-    production selector falls back to the event engine for them — but any
-    *completed* compiled run must match field-for-field.
+    Two checks: the stimulus driver's rows on both engines (it replays
+    onto the event engine itself, so any difference is a finding), then
+    the testbench run.  Ineligible testbenches and runtime bails are
+    skips, not findings — the production selector falls back to the
+    event engine for them — but any *completed* compiled run must match
+    field-for-field.
     """
     from ..hdl.compiled import UnsupportedDesign, XBail, compile_program
     from ..hdl.testbench import _simulate_compiled
+    fast = _driven_rows(case, "compiled")
+    ref = _driven_rows(case, "event")
+    if fast != ref:
+        if isinstance(fast, list) and isinstance(ref, list):
+            step = next(i for i, (a, b) in enumerate(zip(fast, ref)) if a != b)
+            detail = f"vector {step}: compiled {fast[step]} vs event {ref[step]}"
+        else:
+            detail = f"compiled {fast!r:.200} vs event {ref!r:.200}"
+        return OracleReport("compiled", ok=False,
+                            kind="driver-compiled-vs-event", detail=detail)
     try:
         design = elaborate(parse(case.combined_source()), case.top)
     except HdlError as exc:

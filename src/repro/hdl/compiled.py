@@ -37,9 +37,8 @@ from types import CodeType
 
 from . import ast as A
 from ..obs import get_metrics, get_tracer
-from .elaborate import Design, Process, Scope, eval_const
+from .elaborate import Design, Process, Scope, eval_const, has_timing
 from .errors import ElaborationError
-from .simulator import Simulator
 from .values import Logic
 
 
@@ -873,11 +872,6 @@ class _Compiler:
         self.x0 = tuple(x0)
         self.watched: set[int] = set()
 
-    def _is_comb(self, proc: Process) -> bool:
-        return proc.kind == "assign" or (
-            proc.kind == "always" and not proc.edges
-            and not Simulator._has_timing(proc.body))
-
     def compile(self) -> "CompiledProgram":
         design = self.design
         comb: list[Process] = []
@@ -886,7 +880,7 @@ class _Compiler:
         comb_watch: dict[int, list[int]] = {}
         edge_watch: dict[int, list[tuple[int, int]]] = {}
         for proc in design.processes:
-            if self._is_comb(proc):
+            if proc.is_comb:
                 cid = len(comb)
                 comb.append(proc)
                 for dep in proc.deps:
@@ -894,7 +888,7 @@ class _Compiler:
                     if idx is not None:
                         comb_watch.setdefault(idx, []).append(cid)
             elif proc.kind == "always" and proc.edges:
-                if Simulator._has_timing(proc.body):
+                if has_timing(proc.body):
                     # The event engine errors only if the edge ever fires;
                     # falling back reproduces either outcome.
                     raise UnsupportedDesign(
@@ -1241,56 +1235,11 @@ class CompiledSim:
         metrics.counter("sim.backend.compiled.events").add(self.events)
 
     def _run(self, max_time: int) -> None:
-        active = self.active
-        V, X = self.V, self.X
-        comb_fns = self._comb_fns
-        edge_fns = self._edge_fns
-        coro_fns = self._coro_fns
-        for tok in self._t0:
-            active.append(tok)
+        self.active.extend(self._t0)
         restart_counts: dict[str, int] = {}
         while True:
-            self.st = 0
-            while active or self.nba:
-                if self.finished:
-                    return
-                self.delta_cycles += 1
-                while active:
-                    tag, arg = active.popleft()
-                    self.events += 1
-                    self.st += 1
-                    if self.st > _MAX_STEPS:
-                        raise XBail("runaway activity")
-                    if tag == 0:
-                        try:
-                            comb_fns[arg](self, V, X)
-                        except _CFinish:
-                            pass
-                    elif tag == 1:
-                        try:
-                            edge_fns[arg](self, V, X)
-                        except _CFinish:
-                            pass
-                    elif tag == 4:
-                        self._advance(arg.gen, arg.ci)
-                    elif tag == 2:
-                        self._advance(coro_fns[arg](self, V, X), arg)
-                    else:       # 3: restart a looping always process
-                        key = self._coro_names[arg]
-                        n = restart_counts.get(key, 0) + 1
-                        restart_counts[key] = n
-                        if n > _MAX_STEPS:
-                            raise XBail("always process never consumes time")
-                        self._advance(coro_fns[arg](self, V, X), arg)
-                    if self.finished:
-                        return
-                # The event engine charges steps per *statement* and errors
-                # mid-stream; catching the overflow at the delta boundary
-                # still guarantees the fallback whenever it would have.
-                if self.st > _MAX_STEPS:
-                    raise XBail("runaway activity")
-                self._apply_nba()
-            if not self.heap:
+            self._drain(restart_counts)
+            if self.finished or not self.heap:
                 return
             next_time = self.heap[0][0]
             if next_time > max_time:
@@ -1300,7 +1249,77 @@ class CompiledSim:
             restart_counts.clear()
             while self.heap and self.heap[0][0] == self.time:
                 _, _, (gen, ci) = heapq.heappop(self.heap)
-                active.append((4, _CWait((), gen, ci)))
+                self.active.append((4, _CWait((), gen, ci)))
+
+    def _drain(self, restart_counts: dict[str, int],
+               max_deltas: float = float("inf")) -> None:
+        """Run the current time slot's active and NBA strata until both
+        are empty or ``$finish`` runs; more than ``max_deltas`` delta
+        cycles raise :class:`XBail`."""
+        active = self.active
+        V, X = self.V, self.X
+        comb_fns = self._comb_fns
+        edge_fns = self._edge_fns
+        coro_fns = self._coro_fns
+        limit = self.delta_cycles + max_deltas
+        self.st = 0
+        while active or self.nba:
+            if self.finished:
+                return
+            self.delta_cycles += 1
+            if self.delta_cycles > limit:
+                raise XBail("design did not settle")
+            while active:
+                tag, arg = active.popleft()
+                self.events += 1
+                self.st += 1
+                if self.st > _MAX_STEPS:
+                    raise XBail("runaway activity")
+                if tag == 0:
+                    try:
+                        comb_fns[arg](self, V, X)
+                    except _CFinish:
+                        pass
+                elif tag == 1:
+                    try:
+                        edge_fns[arg](self, V, X)
+                    except _CFinish:
+                        pass
+                elif tag == 4:
+                    self._advance(arg.gen, arg.ci)
+                elif tag == 2:
+                    self._advance(coro_fns[arg](self, V, X), arg)
+                else:       # 3: restart a looping always process
+                    key = self._coro_names[arg]
+                    n = restart_counts.get(key, 0) + 1
+                    restart_counts[key] = n
+                    if n > _MAX_STEPS:
+                        raise XBail("always process never consumes time")
+                    self._advance(coro_fns[arg](self, V, X), arg)
+                if self.finished:
+                    return
+            # The event engine charges steps per *statement* and errors
+            # mid-stream; catching the overflow at the delta boundary
+            # still guarantees the fallback whenever it would have.
+            if self.st > _MAX_STEPS:
+                raise XBail("runaway activity")
+            self._apply_nba()
+
+    # -- direct drive (StimulusRunner) -----------------------------------------
+
+    def prime(self) -> None:
+        """Queue every combinational process in design order: the stimulus
+        driver's time-zero priming (coroutines never start)."""
+        self.active.extend(tok for tok in self._t0 if tok[0] == 0)
+
+    def settle(self, max_deltas: int) -> None:
+        """Drain the current time slot as ``StimulusRunner.settle`` does on
+        the event engine, or raise :class:`XBail`: wherever that raises,
+        on ``$finish`` (which it does not stop at), and after more than
+        ``max_deltas`` delta cycles."""
+        self._drain({}, max_deltas)
+        if self.finished:
+            raise XBail("$finish in a driven design")
 
     def value_of(self, flat_name: str) -> Logic:
         i = self._names.index(flat_name)

@@ -87,6 +87,23 @@ class Scope:
         return flat
 
 
+def has_timing(stmt: A.Stmt | None) -> bool:
+    """Whether ``stmt`` holds a ``#delay`` or ``@(...)`` wait anywhere."""
+    if stmt is None:
+        return False
+    if isinstance(stmt, (A.Delay, A.EventWait)):
+        return True
+    if isinstance(stmt, A.Block):
+        return any(has_timing(s) for s in stmt.stmts)
+    if isinstance(stmt, A.If):
+        return has_timing(stmt.then) or has_timing(stmt.other)
+    if isinstance(stmt, A.Case):
+        return any(has_timing(i.body) for i in stmt.items)
+    if isinstance(stmt, (A.For, A.While, A.Repeat)):
+        return has_timing(stmt.body)
+    return False
+
+
 @dataclass
 class Process:
     kind: str                       # 'assign' | 'always' | 'initial'
@@ -97,6 +114,17 @@ class Process:
     edges: tuple[tuple[str, str], ...] = ()   # (edge kind, FLAT signal name)
     deps: frozenset[str] = frozenset()        # flat names that retrigger comb processes
     name: str = ""
+
+    @property
+    def is_comb(self) -> bool:
+        """A combinational process: re-run whenever one of ``deps`` changes.
+
+        Both simulation engines and the stimulus driver schedule exactly
+        this set, so their time-zero priming agrees.
+        """
+        return self.kind == "assign" or (
+            self.kind == "always" and not self.edges
+            and not has_timing(self.body))
 
 
 @dataclass
@@ -339,7 +367,6 @@ class Elaborator:
                 _stmt_reads(alw.body, reads)
                 writes: set[str] = set()
                 stmt_writes(alw.body, writes)
-                dep_names = (reads - writes) | (reads & writes & set())
                 flat_deps = frozenset(scope.names[d] for d in reads - writes
                                       if d in scope.names)
                 design.processes.append(Process(

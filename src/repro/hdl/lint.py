@@ -8,24 +8,9 @@ sensitivity, latch inference, and width mismatches.
 from __future__ import annotations
 
 from . import ast as A
-from .elaborate import eval_const, stmt_writes, _stmt_reads, _expr_reads
+from .elaborate import (eval_const, has_timing, stmt_writes, _stmt_reads,
+                        _expr_reads)
 from .errors import LintWarning
-
-
-def _has_timing(stmt: A.Stmt | None) -> bool:
-    if stmt is None:
-        return False
-    if isinstance(stmt, (A.Delay, A.EventWait)):
-        return True
-    if isinstance(stmt, A.Block):
-        return any(_has_timing(s) for s in stmt.stmts)
-    if isinstance(stmt, A.If):
-        return _has_timing(stmt.then) or _has_timing(stmt.other)
-    if isinstance(stmt, A.Case):
-        return any(_has_timing(i.body) for i in stmt.items)
-    if isinstance(stmt, (A.For, A.While, A.Repeat)):
-        return _has_timing(stmt.body)
-    return False
 
 
 def _decl_widths(module: A.Module) -> dict[str, int]:
@@ -181,7 +166,7 @@ class Linter:
         for alw in self.module.always_blocks:
             if alw.edges and not all(k == "any" for k, _ in alw.edges):
                 continue
-            if _has_timing(alw.body):
+            if has_timing(alw.body):
                 continue  # clock generator, not combinational logic
             nonblocking: set[str] = set()
             self._find_assigns(alw.body, nonblocking, want_blocking=False)
@@ -212,7 +197,7 @@ class Linter:
         for alw in self.module.always_blocks:
             if alw.edges and not all(k == "any" for k, _ in alw.edges):
                 continue
-            if _has_timing(alw.body):
+            if has_timing(alw.body):
                 continue  # behavioural/testbench process, not synthesizable comb
             all_writes: set[str] = set()
             stmt_writes(alw.body, all_writes)

@@ -22,7 +22,7 @@ from .compiled import (CompiledProgram, CompiledSim, UnsupportedDesign,
                        XBail, compile_program)
 from .elaborate import Design
 from .errors import HdlError
-from .simulator import Simulator
+from .simulator import Frame, Simulator
 from .values import Logic
 
 
@@ -141,31 +141,44 @@ def _obtain_program(compiled: CompiledDesign, cache: CompileCache,
     return entry
 
 
+def _select_program(compiled: CompiledDesign, mode: str, cache: CompileCache,
+                    use_cache: bool, counters: str) -> CompiledProgram | None:
+    """The compiled-engine program for ``compiled``, or ``None`` for the
+    event engine.
+
+    ``auto`` uses the compiled engine only when the program cache can
+    amortize compilation (one-shot uncached runs are faster on the event
+    engine); ``compiled`` always tries it.  An ineligible design counts
+    under ``<counters>.ineligible`` when tracing.
+    """
+    if not (mode == "compiled" or (mode == "auto" and use_cache)):
+        return None
+    entry = _obtain_program(compiled, cache, use_cache)
+    if entry[0] == "ok":
+        return entry[1]
+    if get_tracer().enabled:
+        get_metrics().counter(f"{counters}.ineligible").add(1)
+    return None
+
+
 def _run_engine(compiled: CompiledDesign, max_time: int, seed: int,
                 mode: str, cache: CompileCache,
                 use_cache: bool) -> TestbenchResult:
     """Simulate with the selected engine; results are engine-independent.
 
-    ``auto`` uses the compiled fast path only when the program cache can
-    amortize compilation (one-shot uncached runs are faster on the event
-    engine); ``compiled`` always tries it.  Ineligible designs and runtime
-    bails fall back to the event engine — the authoritative semantics.
+    Ineligible designs and runtime bails fall back to the event engine —
+    the authoritative semantics.
     """
     tracer = get_tracer()
-    if mode == "compiled" or (mode == "auto" and use_cache):
-        entry = _obtain_program(compiled, cache, use_cache)
-        if entry[0] == "ok":
-            try:
-                with tracer.span("hdl.sim", backend="compiled",
-                                 top=compiled.top):
-                    return _simulate_compiled(
-                        entry[1], max_time, seed,
-                        cache.codes if use_cache else None)
-            except XBail:
-                if tracer.enabled:
-                    get_metrics().counter("sim.backend.fallbacks").add(1)
-        elif tracer.enabled:
-            get_metrics().counter("sim.backend.ineligible").add(1)
+    program = _select_program(compiled, mode, cache, use_cache, "sim.backend")
+    if program is not None:
+        try:
+            with tracer.span("hdl.sim", backend="compiled", top=compiled.top):
+                return _simulate_compiled(program, max_time, seed,
+                                          cache.codes if use_cache else None)
+        except XBail:
+            if tracer.enabled:
+                get_metrics().counter("sim.backend.fallbacks").add(1)
     with tracer.span("hdl.sim", backend="event", top=compiled.top):
         return _simulate(compiled.design, max_time, seed)
 
@@ -214,24 +227,72 @@ def run_testbench(source: str, top: str, max_time: int = 200_000,
 
 
 class StimulusRunner:
-    """Drives a single module's ports directly, without a Verilog testbench."""
+    """Drives a single module's ports directly, without a Verilog testbench.
+
+    The runner picks its engine by ``run_testbench``'s rule; ``engine``
+    (``"auto"``, ``"event"`` or ``"compiled"``) overrides
+    ``REPRO_SIM_ENGINE`` for this runner, so the fuzz oracle and the tests
+    can put the two engines side by side.  On the compiled engine it logs
+    every poke and settle; when a settle bails (where the event engine
+    would raise, on ``$finish``, runaway activity or a design that never
+    settles) it rebuilds the event runner, replays the log there and stays
+    on it.  Peeks, and the errors a settle raises, are therefore always
+    the event engine's.
+    """
 
     def __init__(self, source: str | CompiledDesign, top: str, seed: int = 1,
-                 cache: CompileCache | None = None):
+                 cache: CompileCache | None = None, *,
+                 engine: str | None = None):
+        from ..config import get_settings
         if isinstance(source, CompiledDesign):
-            self.design = source.design
+            compiled = source
         else:
-            self.design = compile_design(source, top, cache=cache).design
+            compiled = compile_design(source, top, cache=cache)
+        self.design = compiled.design
         self.top = top
-        self.sim = Simulator(self.design, seed=seed)
+        self._seed = seed
         self._ports = {name: sig for name, sig in self.design.signals.items()
                        if sig.is_port}
-        # Prime time-zero evaluation of combinational logic.
-        for idx, proc in enumerate(self.design.processes):
-            if proc.kind == "assign" or (proc.kind == "always" and not proc.edges
-                                         and not self.sim._has_timing(proc.body)):
-                self.sim._active.append(("comb", idx))
+        self._sim: Simulator | None = None
+        self._csim: CompiledSim | None = None
+        self._log: list[tuple] = []     # pokes and settles, for a replay
+        use_cache = cache_enabled()
+        cache = cache or get_default_cache()
+        program = _select_program(compiled, engine or get_settings().sim_engine,
+                                  cache, use_cache, "sim.driver")
+        if program is None:
+            self._start_event()
+        else:
+            if get_tracer().enabled:
+                get_metrics().counter("sim.driver.compiled").add(1)
+            self._csim = CompiledSim(program, seed=seed,
+                                     codes=cache.codes if use_cache else None)
+            names = program.meta["names"]
+            self._index = {name: i for i, name in enumerate(names)
+                          if name in self._ports}
+            self._csim.prime()
         self.settle()
+
+    def _start_event(self) -> None:
+        """A fresh event-engine runner with its combinational processes
+        queued for time-zero priming."""
+        self._sim = Simulator(self.design, seed=self._seed)
+        for idx, proc in enumerate(self.design.processes):
+            if proc.is_comb:
+                self._sim._active.append(("comb", idx))
+
+    def _fall_back(self) -> None:
+        """Leave the compiled engine: replay the log on the event engine."""
+        if get_tracer().enabled:
+            get_metrics().counter("sim.driver.fallbacks").add(1)
+        log, self._log = self._log, []
+        self._csim = None
+        self._start_event()
+        for op in log:
+            if op[0] == "poke":
+                self._sim._set_signal(op[1], op[2])
+            else:
+                self._settle_event(op[1])
 
     @property
     def inputs(self) -> list[str]:
@@ -248,16 +309,34 @@ class StimulusRunner:
         sig = self._ports.get(port)
         if sig is None or sig.direction != "input":
             raise KeyError(f"'{port}' is not an input port of '{self.top}'")
-        self.sim._set_signal(port, Logic.from_int(value, sig.width))
+        new = Logic.from_int(value, sig.width)
+        if self._csim is None:
+            self._sim._set_signal(port, new)
+        else:
+            self._log.append(("poke", port, new))
+            self._csim.set(self._index[port], new.value, 0)
 
     def peek(self, port: str) -> Logic:
         if port not in self._ports:
             raise KeyError(f"'{port}' is not a port of '{self.top}'")
-        return self.sim.values[port]
+        if self._csim is None:
+            return self._sim.values[port]
+        i = self._index[port]
+        return Logic(self._ports[port].width, self._csim.V[i], self._csim.X[i])
 
     def settle(self, max_iters: int = 100_000) -> None:
         """Drain the active/NBA queues at the current time (delta cycles)."""
-        sim = self.sim
+        if self._csim is None:
+            self._settle_event(max_iters)
+            return
+        self._log.append(("settle", max_iters))
+        try:
+            self._csim.settle(max_iters)
+        except XBail:
+            self._fall_back()
+
+    def _settle_event(self, max_iters: int) -> None:
+        sim = self._sim
         iters = 0
         sim._steps_this_slot = 0
         while sim._active or sim._nba:
@@ -271,11 +350,8 @@ class StimulusRunner:
                     sim._run_comb(item[1])
                 elif tag == "edge":
                     proc = sim.design.processes[item[1]]
-                    from .simulator import Frame
                     sim._exec_sync(proc.body, Frame(proc.scope))
-                elif tag in ("start", "restart", "resume"):
-                    # Coroutine activity is ignored by the direct driver.
-                    continue
+                # Coroutines never start, so nothing else is queued.
             sim._apply_nba()
 
     def clock_cycle(self, clk: str = "clk") -> None:
@@ -310,10 +386,10 @@ def exercise_module(source: str | CompiledDesign, top: str,
     states are preserved in the signature (important for consistency
     clustering in VRank).
 
-    The outcome is a pure function of the key below (the driver always runs
-    the event engine with seed 1), so source inputs are memoized in the
-    compile cache's result layer.  Vector item order stays in the key: it
-    is the poke order.  ``None`` is cached too, wrapped in a 1-tuple so it
+    The outcome is a pure function of the key below (the driver runs with
+    seed 1, and either engine gives the event engine's rows), so source
+    inputs are memoized in the compile cache's result layer.  Vector item
+    order stays in the key: it is the poke order.  ``None`` is cached too, wrapped in a 1-tuple so it
     is not read as a miss; a hit is unpickled, so the rows stay private.
     """
     if isinstance(source, CompiledDesign) or not cache_enabled():

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 
 from . import ast as A
+from .elaborate import has_timing
 
 _IND = "  "
 
@@ -188,22 +189,6 @@ def _rng(rng: A.Range | None) -> str:
     return f"[{unparse_expr(rng.msb)}:{unparse_expr(rng.lsb)}] "
 
 
-def _has_timing(stmt: A.Stmt | None) -> bool:
-    if stmt is None:
-        return False
-    if isinstance(stmt, (A.Delay, A.EventWait)):
-        return True
-    if isinstance(stmt, A.Block):
-        return any(_has_timing(s) for s in stmt.stmts)
-    if isinstance(stmt, A.If):
-        return _has_timing(stmt.then) or _has_timing(stmt.other)
-    if isinstance(stmt, A.Case):
-        return any(_has_timing(i.body) for i in stmt.items)
-    if isinstance(stmt, (A.For, A.While, A.Repeat)):
-        return _has_timing(stmt.body)
-    return False
-
-
 def _port_decl(port: A.Port) -> str:
     reg = "reg " if port.is_reg else ""
     return f"{port.direction} {reg}{_rng(port.rng)}{port.name}"
@@ -251,7 +236,7 @@ def unparse_module(module: A.Module) -> str:
     for alw in module.always_blocks:
         if alw.edges:
             head = f"{_IND}always @{_edges(alw.edges)}"
-        elif _has_timing(alw.body):
+        elif has_timing(alw.body):
             head = f"{_IND}always"
         else:
             head = f"{_IND}always @*"
